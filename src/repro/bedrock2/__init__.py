@@ -8,9 +8,10 @@ I/O.  This package provides:
 - :mod:`repro.bedrock2.word` -- fixed-width two's-complement machine words;
 - :mod:`repro.bedrock2.ast` -- expression and statement syntax trees;
 - :mod:`repro.bedrock2.memory` -- the flat memory model;
-- :mod:`repro.bedrock2.semantics` -- a fuel-based big-step interpreter
-  (Bedrock2 semantics only give meaning to terminating programs, so
-  executions are total-correctness witnesses);
+- :mod:`repro.bedrock2.semantics` -- a fuel-based big-step semantics,
+  staged once per function into closures (Bedrock2 semantics only give
+  meaning to terminating programs, so executions are total-correctness
+  witnesses);
 - :mod:`repro.bedrock2.c_printer` -- the small pretty-printer to C.
 """
 

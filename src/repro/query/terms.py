@@ -12,7 +12,7 @@ single-column folds, existence checks) reuses ``ListArray``'s
 
 Each class implements the duck-typed extension hooks the core consults
 on unknown heads -- ``free_vars_node``/``subst_node``/``pretty_node``
-(:mod:`repro.source.terms`), ``eval_node``
+(:mod:`repro.source.terms`), ``stage_node``
 (:mod:`repro.source.evaluator`), ``resolve_node``
 (:mod:`repro.core.engine`), ``infer_type_node``
 (:mod:`repro.core.typecheck`), and the solver's length hooks -- so
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.source import terms as t
+from repro.source.evaluator import tick
 from repro.source.types import NAT, SourceType
 
 
@@ -90,15 +91,22 @@ class QAggregate(t.Term):
             resolve(state, self.body, inner),
         )
 
-    def eval_node(self, evaluator, env: dict, fx) -> object:
-        count = int(evaluator._eval(self.count, env, fx))
-        acc = evaluator._eval(self.init, env, fx)
-        for index in range(count):
+    def stage_node(self, stager):
+        count, init = stager.stage(self.count), stager.stage(self.init)
+        body, idx_name, acc_name = stager.stage(self.body), self.idx_name, self.acc_name
+
+        def aggregate(env, run):
+            tick(run)
+            n = int(count(env, run))
+            acc = init(env, run)
             inner = dict(env)
-            inner[self.idx_name] = index
-            inner[self.acc_name] = acc
-            acc = evaluator._eval(self.body, inner, fx)
-        return acc
+            for index in range(n):
+                inner[idx_name] = index
+                inner[acc_name] = acc
+                acc = body(inner, run)
+            return acc
+
+        return aggregate
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.init)
@@ -155,14 +163,20 @@ class QProjectInto(t.Term):
             resolve(state, self.body, inner),
         )
 
-    def eval_node(self, evaluator, env: dict, fx) -> list:
-        out = evaluator._array(self.out, env, fx)
-        result = []
-        for index in range(len(out)):
+    def stage_node(self, stager):
+        out, body, idx_name = stager.array(self.out), stager.stage(self.body), self.idx_name
+
+        def project(env, run):
+            tick(run)
+            length = len(out(env, run))
             inner = dict(env)
-            inner[self.idx_name] = index
-            result.append(evaluator._eval(self.body, inner, fx))
-        return result
+            result = []
+            for index in range(length):
+                inner[idx_name] = index
+                result.append(body(inner, run))
+            return result
+
+        return project
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.out)
@@ -263,18 +277,26 @@ class QJoinAgg(t.Term):
             resolve(state, self.body, inner),
         )
 
-    def eval_node(self, evaluator, env: dict, fx) -> object:
-        left = int(evaluator._eval(self.left_count, env, fx))
-        right = int(evaluator._eval(self.right_count, env, fx))
-        acc = evaluator._eval(self.init, env, fx)
-        for i in range(left):
-            for j in range(right):
-                inner = dict(env)
-                inner[self.i_name] = i
-                inner[self.j_name] = j
-                inner[self.acc_name] = acc
-                acc = evaluator._eval(self.body, inner, fx)
-        return acc
+    def stage_node(self, stager):
+        left, right = stager.stage(self.left_count), stager.stage(self.right_count)
+        init, body = stager.stage(self.init), stager.stage(self.body)
+        i_name, j_name, acc_name = self.i_name, self.j_name, self.acc_name
+
+        def join_agg(env, run):
+            tick(run)
+            rows = int(left(env, run))
+            cols = int(right(env, run))
+            acc = init(env, run)
+            inner = dict(env)
+            for i in range(rows):
+                for j in range(cols):
+                    inner[i_name] = i
+                    inner[j_name] = j
+                    inner[acc_name] = acc
+                    acc = body(inner, run)
+            return acc
+
+        return join_agg
 
     def infer_type_node(self, state, infer_type) -> SourceType:
         return infer_type(state, self.init)

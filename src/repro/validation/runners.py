@@ -16,7 +16,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bedrock2 import ast
 from repro.bedrock2.memory import Memory
-from repro.bedrock2.semantics import Interpreter, IOEvent, MachineState, OpCounts
+from repro.bedrock2.semantics import (
+    Interpreter,
+    IOEvent,
+    MachineState,
+    Observer,
+    OpCounts,
+)
 from repro.bedrock2.word import Word
 from repro.core.spec import ArgKind, FnSpec, Model, OutKind
 from repro.source.evaluator import CellV, EffectContext, Evaluator
@@ -68,13 +74,14 @@ def run_function(
     stack_init=None,
     program: Optional[ast.Program] = None,
     fuel: int = Interpreter.DEFAULT_FUEL,
-    interpreter_cls: type = Interpreter,
+    observer: Optional[Observer] = None,
 ) -> RunResult:
     """Run ``fn`` under the memory layout ``spec`` declares.
 
-    ``interpreter_cls`` substitutes an :class:`Interpreter` subclass --
-    the absint soundness suite passes one whose ``exec_stmt`` asserts
-    every live local against the analyzer's per-statement ranges.
+    ``observer`` is called with each statement and the current locals
+    (names to ints) before the statement runs -- the absint soundness
+    audit checks every live local against the analyzer's per-statement
+    ranges this way.  Unobserved runs pay nothing for the hook.
     """
     memory = Memory(width)
     arg_words: List[Word] = []
@@ -113,11 +120,12 @@ def run_function(
             return []
         raise RuntimeError(f"unknown external action {action!r}")
 
-    interp = interpreter_cls(
+    interp = Interpreter(
         program or ast.Program((fn,)),
         width=width,
         external=external,
         stack_init=stack_init or (lambda n: bytes(n)),
+        observer=observer,
     )
     state = MachineState(memory=memory)
     rets = interp.call_function(fn.name, arg_words, state, fuel)

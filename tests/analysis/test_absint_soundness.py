@@ -2,10 +2,11 @@
 
 The property: at every program point, every concrete execution value of
 every live local lies inside the range the analyzer computed for it --
-checked by running each compiled program under an interpreter whose
-``exec_stmt`` asserts ``state.locals`` against
-:meth:`AbsintResult.stmt_envs` before executing each statement.  The
-corpus is the full registry plus >= 100 generated fuzz programs.
+checked by running each compiled program with a per-statement observer
+that audits the locals against :meth:`AbsintResult.stmt_envs` before
+each statement executes.  The corpus is the full registry plus >= 100
+generated fuzz programs; a deliberately narrowed range environment must
+make the same audit fail, which shows the observer really fires.
 
 The model-side analyzer (:func:`analyze_model`) is checked the same way
 at the function boundary: evaluated outputs must lie inside the result
@@ -20,8 +21,8 @@ import random
 import pytest
 
 from repro.analysis.absint import analyze_function, analyze_model
+from repro.analysis.absint import domain
 from repro.bedrock2 import ast as b2
-from repro.bedrock2.semantics import Interpreter
 from repro.core.goals import CompileError
 from repro.programs.registry import all_programs
 from repro.resilience.generator import generate_case
@@ -33,39 +34,35 @@ FUZZ_COUNT = 110
 TRIALS_PER_PROGRAM = 3
 
 
-def _checking_interpreter(envs, failures):
-    """An Interpreter that audits locals against per-statement ranges."""
+def _auditor(envs, failures):
+    """An observer that audits locals against per-statement ranges."""
 
-    class CheckingInterpreter(Interpreter):
-        def exec_stmt(self, stmt, state, fuel):
-            env = envs.get(id(stmt))
-            if env is not None:
-                for var, rng in env.items():
-                    word = state.locals.get(var)
-                    if word is not None and not rng.contains(word.unsigned):
-                        failures.append(
-                            f"{var}={word.unsigned} outside {rng.pretty()} "
-                            f"before {type(stmt).__name__}"
-                        )
-            return super().exec_stmt(stmt, state, fuel)
+    def observe(stmt, locals_):
+        env = envs.get(id(stmt))
+        if env is None:
+            return
+        for var, rng in env.items():
+            value = locals_.get(var)
+            if value is not None and not rng.contains(value):
+                failures.append(
+                    f"{var}={value} outside {rng.pretty()} "
+                    f"before {type(stmt).__name__}"
+                )
 
-    return CheckingInterpreter
+    return observe
 
 
-def _audit_executions(compiled, spec, input_gen, rng, trials=TRIALS_PER_PROGRAM):
+def _audit_executions(
+    compiled, spec, input_gen, rng, trials=TRIALS_PER_PROGRAM, envs=None
+):
     """Run the compiled function ``trials`` times under the auditor."""
-    result = analyze_function(compiled.bedrock_fn)
-    envs = result.stmt_envs()
+    if envs is None:
+        envs = analyze_function(compiled.bedrock_fn).stmt_envs()
     failures: list = []
-    interpreter_cls = _checking_interpreter(envs, failures)
+    observer = _auditor(envs, failures)
     for _ in range(trials):
         params = input_gen(rng)
-        run_function(
-            compiled.bedrock_fn,
-            spec,
-            params,
-            interpreter_cls=interpreter_cls,
-        )
+        run_function(compiled.bedrock_fn, spec, params, observer=observer)
     return failures
 
 
@@ -120,6 +117,35 @@ def test_registry_optimized_executions_stay_within_ranges(program, opt_level):
     input_gen = _program_input_gen(program)
     failures = _audit_executions(compiled, program.build_spec(), input_gen, rng)
     assert not failures, failures[:5]
+
+
+def test_narrowed_ranges_make_the_audit_fail():
+    """Negative fixture: shrink every range to its lower bound and the
+    audit must report values outside it -- the observer does fire."""
+    from repro.programs.registry import get_program
+
+    program = get_program("fnv1a")
+    compiled = program.compile(opt_level=0)
+    envs = analyze_function(compiled.bedrock_fn).stmt_envs()
+    narrowed = {
+        key: {var: domain.const(rng.lo) for var, rng in env.items()}
+        for key, env in envs.items()
+    }
+    failures = _audit_executions(
+        compiled,
+        program.build_spec(),
+        _program_input_gen(program),
+        random.Random(0xAB7),
+        envs=narrowed,
+    )
+    assert failures, "a narrowed range environment went unnoticed"
+    assert not _audit_executions(
+        compiled,
+        program.build_spec(),
+        _program_input_gen(program),
+        random.Random(0xAB7),
+        envs=envs,
+    )
 
 
 def test_fuzz_corpus_executions_stay_within_ranges():

@@ -82,7 +82,7 @@ def test_eval_project_into():
     assert value == [2, 4, 6]
 
 
-def test_as_ranged_for_agrees_with_eval_node():
+def test_as_ranged_for_agrees_with_stage_node():
     agg = _agg()
     env = {"a": [5, 7, 9]}
     assert Evaluator().eval(agg, dict(env)) == Evaluator().eval(
@@ -90,7 +90,7 @@ def test_as_ranged_for_agrees_with_eval_node():
     )
 
 
-def test_as_nested_ranged_for_agrees_with_eval_node():
+def test_as_nested_ranged_for_agrees_with_stage_node():
     body = t.Prim(
         "word.add",
         (t.Var("acc"),
