@@ -8,6 +8,7 @@ from repro.bedrock2 import ast as b2
 from repro.core.certificate import Certificate, CertNode
 from repro.core.spec import FnSpec, Model, array_out, ptr_arg, scalar_arg, scalar_out
 from repro.programs import get_program
+from repro.programs.extra import EXTRA
 from repro.source.builder import let_n, sym
 from repro.source.evaluator import CellV
 from repro.source.types import WORD, cell_of
@@ -21,6 +22,7 @@ from repro.validation import (
     run_function,
 )
 from repro.validation.checker import validate
+from repro.validation.runners import run_function_riscv
 
 
 def compile_inc():
@@ -29,6 +31,11 @@ def compile_inc():
     model = Model("inc", [("x", WORD)], body.term, WORD)
     spec = FnSpec("inc", [scalar_arg("x")], [scalar_out()])
     return engine.compile_function(model, spec)
+
+
+def compile_sum_words():
+    model, spec, _reference = EXTRA["sum_words"]()
+    return default_engine().compile_function(model, spec)
 
 
 class TestRunner:
@@ -60,6 +67,30 @@ class TestRunner:
         compiled = compile_inc()
         result = run_function(compiled.bedrock_fn, compiled.spec, {"x": 1})
         assert result.counts.total() > 0
+
+    @pytest.mark.parametrize("element", [256, 1 << 70, -1])
+    def test_byte_array_element_out_of_range_raises_overflow(self, element):
+        upstr = get_program("upstr").compile()
+        with pytest.raises(OverflowError):
+            run_function(upstr.bedrock_fn, upstr.spec, {"s": [97, element, 98]})
+        with pytest.raises(OverflowError):
+            run_function_riscv(upstr.bedrock_fn, upstr.spec, {"s": [97, element]})
+
+    @pytest.mark.parametrize("element", [1 << 64, -1])
+    def test_word_array_element_out_of_range_raises_overflow(self, element):
+        compiled = compile_sum_words()
+        with pytest.raises(OverflowError):
+            run_function(compiled.bedrock_fn, compiled.spec, {"a": [1, element]})
+
+    def test_array_layout_roundtrips_bools_and_full_width_words(self):
+        upstr = get_program("upstr").compile()
+        result = run_function(upstr.bedrock_fn, upstr.spec, {"s": [True, 0, 255]})
+        assert result.out_memory["s"] == [1, 0, 255]
+        compiled = compile_sum_words()
+        words = [2**64 - 1, True, 0, 1 << 63]
+        result = run_function(compiled.bedrock_fn, compiled.spec, {"a": words})
+        assert result.out_memory["a"] == [2**64 - 1, 1, 0, 1 << 63]
+        assert result.rets == [sum(words) % 2**64]
 
     def test_make_inputs_shapes(self):
         model = get_program("upstr").build_model()
