@@ -198,3 +198,48 @@ def test_run_lint_ranges_flag_attaches_ranges():
     assert subject.ranges, "expected --ranges to attach an exit environment"
     assert subject.to_dict()["ranges"] == subject.ranges
     assert any("range " in line for line in report.render().splitlines())
+
+
+def _all_rb3xx_defects():
+    """One function with every RB3xx defect, inside a loop and a branch."""
+    return _fn(
+        "every_defect",
+        ("a", "d", "n"),
+        b2.SSet("i", b2.ELit(0)),
+        b2.SWhile(
+            b2.EOp("ltu", b2.var("i"), b2.var("n")),
+            b2.seq_of(
+                b2.SSet("c", b2.sub(b2.ELit(5), b2.ELit(9))),
+                b2.SSet("x", b2.EInlineTable(1, bytes(256), b2.ELit(300))),
+                b2.SCond(
+                    b2.EOp("ltu", b2.var("a"), b2.ELit(10)),
+                    b2.SSet("y", b2.EOp("slu", b2.var("a"), b2.ELit(64))),
+                    b2.SSet("q", b2.EOp("divu", b2.var("a"), b2.var("d"))),
+                ),
+                b2.SSet("i", b2.add(b2.var("i"), b2.ELit(1))),
+            ),
+        ),
+    )
+
+
+def test_rb3xx_diagnostics_are_the_same_with_a_shared_cfg():
+    """``lint_function`` hands its CFG to the range analysis after its own
+    dataflow passes have walked it; the RB3xx findings (and the ranges
+    behind them) must be exactly those of a CFG built afresh."""
+    from repro.analysis.absint import analyze_function
+    from repro.analysis.dataflow import CFG
+    from repro.programs.registry import all_programs
+
+    fns = [_all_rb3xx_defects()] + [
+        program.compile(opt_level=level).bedrock_fn
+        for program in all_programs()
+        for level in (0, 1)
+    ]
+    assert {d.code for d in range_lint(fns[0])} == {"RB301", "RB302", "RB303", "RB304"}
+    for fn in fns:
+        fresh = range_lint(fn)
+        cfg = CFG(fn)
+        cfg.must_defined(), cfg.live_out(), cfg.taint({arg: "arg" for arg in fn.args})
+        assert range_lint(fn, cfg=cfg) == fresh, fn.name
+        assert analyze_function(fn, cfg=cfg).env_in == analyze_function(fn).env_in
+        assert [d for d in lint_function(fn) if d.code.startswith("RB3")] == fresh
