@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bedrock2 import ast
 from repro.bedrock2.memory import Memory, MemoryError_
-from repro.bedrock2.word import Word
+from repro.bedrock2.word import IntLike, Word
 
 
 class ExecutionError(Exception):
@@ -724,11 +724,13 @@ class Interpreter:
     def call_function(
         self,
         name: str,
-        args: Sequence[Word],
+        args: Sequence[IntLike],
         state: MachineState,
         fuel: int,
     ) -> List[Word]:
-        """Call a Bedrock2 function with its own locals frame (memory is shared)."""
+        """Call a Bedrock2 function with its own locals frame (memory is shared).
+
+        ``args`` are words or plain ints (taken modulo the word width)."""
         fn = self.program.function(name)
         if len(args) != len(fn.args):
             raise ExecutionError(
