@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.spec import CompiledFunction, OutKind
+from repro.core.spec import ArgKind, CompiledFunction, OutKind
 from repro.obs.trace import current_tracer
 from repro.source.evaluator import CellV
 from repro.validation.runners import eval_model, make_inputs, run_function
@@ -188,8 +188,6 @@ def _compare(report, params, spec, run, model_result, width: int) -> None:
     # Read-only inputs: any pointer parameter that is not a declared
     # output must come back byte-identical (the unchanged `array p s`
     # conjunct of the paper's ensures clauses).
-    from repro.core.spec import ArgKind
-
     output_params = {o.param for o in spec.outputs if o.param is not None}
     for arg in spec.args:
         if arg.kind is not ArgKind.POINTER or arg.param in output_params:
